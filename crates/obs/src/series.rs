@@ -236,10 +236,15 @@ impl Sampler {
             .name("obs-sampler".into())
             .spawn(move || loop {
                 {
+                    // `stop` is checked under the gate before sleeping, so
+                    // a stop that lands before this thread reaches the
+                    // condvar is not lost.
                     let gate = worker.gate.lock().expect("sampler gate");
                     let (_gate, _timeout) = worker
                         .wake
-                        .wait_timeout(gate, interval)
+                        .wait_timeout_while(gate, interval, |_| {
+                            !worker.stop.load(Ordering::Acquire)
+                        })
                         .expect("sampler gate");
                 }
                 if worker.stop.load(Ordering::Acquire) {

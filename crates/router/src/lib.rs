@@ -565,6 +565,8 @@ impl Handler for Router {
         self.waits.retain(|(token, _)| token.conn != conn);
     }
 
+    // Parked `Wait`s poll their shard, which cannot wake this reactor,
+    // so they need the periodic re-check.
     fn parked(&self) -> bool {
         !self.waits.is_empty()
     }
@@ -624,5 +626,5 @@ pub fn serve(path: &Path, cfg: &RouterConfig) -> io::Result<()> {
     let listener = bind_socket(path)?;
     let _guard = SocketGuard::new(path);
     let mut handler = Router::new(cfg);
-    svc::reactor::run(&listener, &mut handler)
+    svc::reactor::Reactor::new()?.run(&listener, &mut handler)
 }

@@ -59,7 +59,7 @@ use engines::EngineKind;
 use obs::alert::AlertSpec;
 use svc::job::{JobMode, JobSpec, Scale};
 use svc::scheduler::{Config, HealthReport, Scheduler, SvcStats, SvcStatsExt};
-use svc::server::{serve, serve_threaded, Client};
+use svc::server::{serve, Client};
 use svc::telemetry::{AlertReport, SeriesReport, TelemetryConfig, TraceReport};
 use wacc::OptLevel;
 
@@ -68,7 +68,7 @@ fn usage() -> ! {
         "usage: wabench-served <serve|submit|stats|stats-ext|health|series|trace-dump|alerts|shutdown|smoke> [options]\n\
          \n\
          serve      --socket PATH [--workers N] [--store DIR] [--store-cap-mb M] [--timeout-s S] [--trace-out FILE] [--faults PLAN]\n\
-         \u{20}          [--sample-ms N] [--series-cap N] [--slow-ms N] [--profile-ms N] [--alerts SPEC] [--postmortem-dir DIR] [--threaded]\n\
+         \u{20}          [--sample-ms N] [--series-cap N] [--slow-ms N] [--profile-ms N] [--alerts SPEC] [--postmortem-dir DIR]\n\
          submit     --socket PATH --bench NAME [--engine E] [--level O2] [--scale test] [--mode exec|aot|profiled] [--warm]\n\
          stats      --socket PATH\n\
          stats-ext  --socket PATH\n\
@@ -124,7 +124,6 @@ struct Opts {
     profile_ms: u64,
     alerts: Option<String>,
     postmortem_dir: Option<PathBuf>,
-    threaded: bool,
 }
 
 impl Opts {
@@ -151,7 +150,6 @@ impl Opts {
             profile_ms: 0,
             alerts: None,
             postmortem_dir: None,
-            threaded: false,
         }
     }
 }
@@ -279,7 +277,6 @@ fn parse_opts(args: &[String]) -> Opts {
                     })
             }
             "--alerts" => o.alerts = Some(take_value(args, &mut i, "--alerts")),
-            "--threaded" => o.threaded = true,
             "--postmortem-dir" => {
                 o.postmortem_dir =
                     Some(PathBuf::from(take_value(args, &mut i, "--postmortem-dir")))
@@ -563,21 +560,15 @@ fn cmd_serve(o: &Opts) {
         exit(1);
     });
     obs::info!(
-        "wabench-served: listening on {} ({} workers{}, {} front-end)",
+        "wabench-served: listening on {} ({} workers{})",
         socket.display(),
         o.workers,
         match &o.store {
             Some(d) => format!(", store {}", d.display()),
             None => String::new(),
-        },
-        if o.threaded { "thread-per-conn" } else { "reactor" }
+        }
     );
-    let outcome = if o.threaded {
-        serve_threaded(&socket, Arc::new(sched))
-    } else {
-        serve(&socket, Arc::new(sched))
-    };
-    if let Err(e) = outcome {
+    if let Err(e) = serve(&socket, Arc::new(sched)) {
         obs::error!("server error: {e}");
         exit(1);
     }

@@ -1,11 +1,8 @@
 //! A single-threaded nonblocking event loop over a Unix-domain
 //! listener.
 //!
-//! The thread-per-connection front end spent one OS thread (stack,
-//! scheduler slot, join bookkeeping) per client; under hundreds of
-//! load-generator connections the accept loop itself became the
-//! bottleneck. This reactor multiplexes every connection on one thread
-//! with `poll(2)`: per-connection read buffers make **pipelining**
+//! The reactor multiplexes every connection on one thread with
+//! `poll(2)`: per-connection read buffers make **pipelining**
 //! first-class (a client may write many frames back-to-back and read
 //! the responses later; partial frames are reassembled across reads),
 //! and per-connection write buffers absorb slow readers without
@@ -21,6 +18,11 @@
 //! it later from [`Handler::tick`]; frames queued behind the parked
 //! slot are held until it fills.
 //!
+//! [`Handler::tick`] runs after every poll. Another thread gets it run
+//! at once with a [`Waker`], which writes to a socket pair polled next
+//! to the connections: `wabench-served` wakes the loop on each job
+//! completion instead of re-checking parked `Wait`s on a timer.
+//!
 //! No epoll and no external crates: `poll(2)` is declared directly
 //! (the workspace builds offline and deliberately avoids a libc
 //! dependency), and the fd sets here are small enough that O(n) scans
@@ -30,6 +32,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::Arc;
 
 use crate::wire::MAX_FRAME;
 
@@ -117,9 +120,35 @@ pub trait Handler {
     /// it. Resolutions for its tokens are silently discarded.
     fn conn_closed(&mut self, conn: u64);
 
-    /// Whether any request is currently parked. Governs the poll
-    /// timeout: parked work is re-checked on a short tick.
-    fn parked(&self) -> bool;
+    /// Whether parked work needs a periodic re-check (a 2 ms poll tick)
+    /// because nothing can wake the loop when it resolves. Only the
+    /// router, whose parked `Wait`s poll backends, says yes.
+    fn parked(&self) -> bool {
+        false
+    }
+}
+
+/// Both ends of the wake channel, a nonblocking socket pair. Wakers
+/// keep the read end open, so a late wake never hits a closed peer.
+#[derive(Debug)]
+struct WakeChannel {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+/// Wakes a [`Reactor`] from any thread so it runs [`Handler::tick`]
+/// promptly. Cheap to clone.
+#[derive(Clone, Debug)]
+pub struct Waker(Arc<WakeChannel>);
+
+impl Waker {
+    /// Makes the reactor's current or next poll return. The read end is
+    /// level-triggered, so a wake written after the handler's state
+    /// changed is never lost. `WouldBlock` (a full buffer) is ignored:
+    /// a wake is already pending.
+    pub fn wake(&self) {
+        let _ = (&self.0.tx).write(&[1]);
+    }
 }
 
 struct Conn {
@@ -136,6 +165,8 @@ struct Conn {
     next_slot: u64,
     /// Read side saw EOF (flush what's pending, then drop).
     eof: bool,
+    /// A read, write or poll error; dropped without flushing.
+    dead: bool,
 }
 
 impl Conn {
@@ -169,155 +200,166 @@ impl Conn {
     }
 }
 
-/// Runs the event loop on an already-bound listener until a handler
-/// returns [`Action::Bye`] / [`Resolution::Bye`] and all responses are
-/// flushed.
-///
-/// # Errors
-///
-/// Fatal I/O errors on the listener or `poll(2)` itself. Per-connection
-/// errors (resets, oversized frames) just drop that connection.
-pub fn run(listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut next_conn_id: u64 = 0;
-    let mut draining = false;
-    let mut done: Vec<(Token, Resolution)> = Vec::new();
-    let accepted = obs::metrics::counter("svc.conn.accepted");
-    let pipelined = obs::metrics::counter("svc.frames.pipelined");
+/// The event loop, with the wake channel it polls.
+#[derive(Debug)]
+pub struct Reactor {
+    waker: Waker,
+}
 
-    loop {
-        // 1. Give parked requests a chance to resolve.
-        done.clear();
-        handler.tick(&mut done);
-        for (token, res) in done.drain(..) {
-            let frame = match res {
-                Resolution::Respond(f) => f,
-                Resolution::Bye(f) => {
-                    draining = true;
-                    f
+impl Reactor {
+    /// Creates the reactor and its wake channel.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors creating or configuring the socket pair.
+    pub fn new() -> io::Result<Reactor> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Reactor {
+            waker: Waker(Arc::new(WakeChannel { rx, tx })),
+        })
+    }
+
+    /// A handle other threads use to wake this reactor.
+    pub fn waker(&self) -> Waker {
+        self.waker.clone()
+    }
+
+    /// Runs the event loop on an already-bound listener until a handler
+    /// returns [`Action::Bye`] / [`Resolution::Bye`] and all responses are
+    /// flushed.
+    ///
+    /// # Errors
+    ///
+    /// Fatal I/O errors on the listener or `poll(2)` itself. Per-connection
+    /// errors (resets, oversized frames) just drop that connection.
+    pub fn run(&self, listener: &UnixListener, handler: &mut dyn Handler) -> io::Result<()> {
+        listener.set_nonblocking(true)?;
+        let mut conns: Vec<Conn> = Vec::new();
+        let mut next_conn_id: u64 = 0;
+        let mut draining = false;
+        let mut done: Vec<(Token, Resolution)> = Vec::new();
+        let accepted = obs::metrics::counter("svc.conn.accepted");
+        let pipelined = obs::metrics::counter("svc.frames.pipelined");
+
+        loop {
+            // 1. Give parked requests a chance to resolve.
+            done.clear();
+            handler.tick(&mut done);
+            for (token, res) in done.drain(..) {
+                let frame = match res {
+                    Resolution::Respond(f) => f,
+                    Resolution::Bye(f) => {
+                        draining = true;
+                        f
+                    }
+                };
+                if let Some(conn) = conns.iter_mut().find(|c| c.id == token.conn) {
+                    conn.fill(token.slot, frame);
+                    conn.flush_ready();
                 }
-            };
-            if let Some(conn) = conns.iter_mut().find(|c| c.id == token.conn) {
-                conn.fill(token.slot, frame);
-                conn.flush_ready();
             }
-        }
 
-        // 2. Opportunistic writes (newly ready frames), then reap.
-        let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            if !conn.wbuf.is_empty() {
-                if let Err(e) = write_some(conn) {
-                    if e.kind() != io::ErrorKind::WouldBlock {
-                        let id = conn.id;
-                        conns.swap_remove(i);
-                        handler.conn_closed(id);
-                        continue;
+            // 2. Write every ready frame, then reap. This is the only
+            // write path (POLLOUT just wakes the poll below) and the only
+            // place connections are dropped.
+            let mut i = 0;
+            while i < conns.len() {
+                let conn = &mut conns[i];
+                if !conn.dead && !conn.wbuf.is_empty() {
+                    if let Err(e) = write_some(conn) {
+                        conn.dead = e.kind() != io::ErrorKind::WouldBlock;
                     }
                 }
+                if conn.dead || conn.finished() {
+                    let id = conn.id;
+                    conns.swap_remove(i);
+                    handler.conn_closed(id);
+                    continue;
+                }
+                i += 1;
             }
-            if conn.finished() {
-                let id = conn.id;
-                conns.swap_remove(i);
-                handler.conn_closed(id);
-                continue;
-            }
-            i += 1;
-        }
 
-        // 3. Draining and everything flushed: stop.
-        if draining && conns.iter().all(|c| c.wbuf.is_empty()) {
-            return Ok(());
-        }
+            // 3. Draining and everything flushed: stop.
+            if draining && conns.iter().all(|c| c.wbuf.is_empty()) {
+                return Ok(());
+            }
 
-        // 4. Wait for readiness. Parked work and draining re-check on a
-        // short tick; an idle server sleeps longer.
-        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + 1);
-        fds.push(PollFd {
-            fd: listener.as_raw_fd(),
-            events: if draining { 0 } else { POLLIN },
-            revents: 0,
-        });
-        for conn in &conns {
-            let mut events = 0i16;
-            if !conn.eof && !draining {
-                events |= POLLIN;
-            }
-            if !conn.wbuf.is_empty() {
-                events |= POLLOUT;
-            }
+            // 4. Wait for readiness of a socket or the wake channel. Only
+            // a handler that asks for re-checks gets a short tick.
+            let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + 2);
             fds.push(PollFd {
-                fd: conn.stream.as_raw_fd(),
-                events,
+                fd: listener.as_raw_fd(),
+                events: if draining { 0 } else { POLLIN },
                 revents: 0,
             });
-        }
-        let timeout_ms = if handler.parked() || draining { 2 } else { 250 };
-        poll_fds(&mut fds, timeout_ms)?;
-
-        // 5. Accept every pending connection.
-        if fds[0].revents & (POLLIN | POLLERR) != 0 {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(true)?;
-                        accepted.inc();
-                        conns.push(Conn {
-                            id: next_conn_id,
-                            stream,
-                            rbuf: Vec::new(),
-                            wbuf: Vec::new(),
-                            slots: VecDeque::new(),
-                            head_slot: 0,
-                            next_slot: 0,
-                            eof: false,
-                        });
-                        next_conn_id += 1;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
+            fds.push(PollFd {
+                fd: self.waker.0.rx.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            });
+            for conn in &conns {
+                let mut events = 0i16;
+                if !conn.eof && !draining {
+                    events |= POLLIN;
                 }
+                if !conn.wbuf.is_empty() {
+                    events |= POLLOUT;
+                }
+                fds.push(PollFd {
+                    fd: conn.stream.as_raw_fd(),
+                    events,
+                    revents: 0,
+                });
             }
-        }
+            let timeout_ms = if handler.parked() { 2 } else { 250 };
+            poll_fds(&mut fds, timeout_ms)?;
+            if fds[1].revents != 0 {
+                // Drain every pending wake; the tick at the top of the
+                // loop then sees whatever state the wakers published.
+                let mut buf = [0u8; 64];
+                while matches!((&self.waker.0.rx).read(&mut buf), Ok(n) if n > 0) {}
+            }
 
-        // 6. Service ready connections (fds[i+1] maps to conns[i] —
-        // both were frozen together above; removals happen after).
-        let mut dead: Vec<u64> = Vec::new();
-        for (i, fd) in fds.iter().enumerate().skip(1) {
-            let conn = &mut conns[i - 1];
-            if fd.revents & (POLLERR | POLLNVAL) != 0 {
-                dead.push(conn.id);
-                continue;
-            }
-            if fd.revents & (POLLIN | POLLHUP) != 0 && !conn.eof {
-                match read_and_dispatch(conn, handler, &pipelined) {
-                    Ok(keep) => {
-                        if !keep {
-                            draining = true;
+            // 5. Accept every pending connection.
+            if fds[0].revents & (POLLIN | POLLERR) != 0 {
+                loop {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            stream.set_nonblocking(true)?;
+                            accepted.inc();
+                            conns.push(Conn {
+                                id: next_conn_id,
+                                stream,
+                                rbuf: Vec::new(),
+                                wbuf: Vec::new(),
+                                slots: VecDeque::new(),
+                                head_slot: 0,
+                                next_slot: 0,
+                                eof: false,
+                                dead: false,
+                            });
+                            next_conn_id += 1;
                         }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(_) => {
-                        dead.push(conn.id);
-                        continue;
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        Err(e) => return Err(e),
                     }
                 }
             }
-            if fd.revents & POLLOUT != 0 && !conn.wbuf.is_empty() {
-                if let Err(e) = write_some(conn) {
-                    if e.kind() != io::ErrorKind::WouldBlock {
-                        dead.push(conn.id);
+
+            // 6. Service ready connections (fds[i+2] maps to conns[i] —
+            // both were frozen together above; step 2 reaps the dead).
+            for (fd, conn) in fds[2..].iter().zip(conns.iter_mut()) {
+                if fd.revents & (POLLERR | POLLNVAL) != 0 {
+                    conn.dead = true;
+                } else if fd.revents & (POLLIN | POLLHUP) != 0 && !conn.eof {
+                    match read_and_dispatch(conn, handler, &pipelined) {
+                        Ok(keep) => draining |= !keep,
+                        Err(_) => conn.dead = true,
                     }
                 }
-            }
-        }
-        if !dead.is_empty() {
-            conns.retain(|c| !dead.contains(&c.id));
-            for id in dead {
-                handler.conn_closed(id);
             }
         }
     }
@@ -386,15 +428,6 @@ fn read_and_dispatch(
         pipelined.add(frames_this_pass - 1);
     }
     conn.flush_ready();
-    if !conn.wbuf.is_empty() {
-        // Try to push responses out right away; WouldBlock just leaves
-        // the rest for POLLOUT.
-        match write_some(conn) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(e) => return Err(e),
-        }
-    }
     Ok(keep)
 }
 

@@ -292,6 +292,8 @@ struct Inner {
     queue_cv: Condvar,
     results: Mutex<HashMap<u64, JobResult>>,
     done_cv: Condvar,
+    /// See [`Scheduler::on_complete`].
+    on_done: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
     outstanding: AtomicU64,
     shutdown: AtomicBool,
     next_id: AtomicU64,
@@ -346,6 +348,7 @@ impl Scheduler {
             queue_cv: Condvar::new(),
             results: Mutex::new(HashMap::new()),
             done_cv: Condvar::new(),
+            on_done: Mutex::new(None),
             outstanding: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
@@ -450,9 +453,17 @@ impl Scheduler {
         }
     }
 
+    /// Sets (or replaces) the non-blocking hook a worker calls after each
+    /// result is claimable and `outstanding` is decremented. The socket
+    /// front-end wakes its reactor from it, so parked `Wait`s and
+    /// `Shutdown`s are answered on completion.
+    pub fn on_complete(&self, hook: impl Fn() + Send + Sync + 'static) {
+        *self.inner.on_done.lock().expect("on_done lock") = Some(Box::new(hook));
+    }
+
     /// Whether every submitted job has completed — the non-blocking
-    /// counterpart of [`Scheduler::wait_idle`], polled by the reactor
-    /// while draining for shutdown.
+    /// counterpart of [`Scheduler::wait_idle`], checked by the reactor
+    /// front-end before it answers a `Shutdown`.
     pub fn idle(&self) -> bool {
         self.inner.outstanding.load(Ordering::SeqCst) == 0
     }
@@ -1041,6 +1052,10 @@ fn worker_loop(inner: &Arc<Inner>) {
             inner.outstanding.fetch_sub(1, Ordering::SeqCst);
         }
         inner.done_cv.notify_all();
+        // After the insert, so a woken reactor's tick finds the result.
+        if let Some(hook) = inner.on_done.lock().expect("on_done lock").as_ref() {
+            hook();
+        }
         // Evaluate alert rules against any new telemetry samples (no-op
         // when disarmed). After the result is published, so a firing
         // alert's postmortem sees the job that tripped it.

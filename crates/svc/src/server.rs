@@ -3,21 +3,20 @@
 //!
 //! [`serve`] runs the nonblocking [`crate::reactor`]: one thread
 //! multiplexes every connection, `Wait` requests park instead of
-//! pinning a thread, and pipelined frames are first-class. The old
-//! thread-per-connection path survives as [`serve_threaded`] — it is
-//! the QPS baseline the reactor is measured against in
-//! `scripts/verify.sh`, and a fallback while the reactor soaks.
-//! A `Shutdown` request drains the scheduler and stops either loop.
+//! pinning a thread, and pipelined frames are first-class. Parked
+//! requests are completion-driven: the scheduler wakes the reactor
+//! each time it publishes a result, so a parked `Wait` is answered
+//! then, with no timed re-check. A `Shutdown` request parks until the
+//! scheduler drains, then stops the loop.
 
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::job::{JobSpec, TraceCtx};
 use crate::proto::{BackendsReport, Request, Response};
-use crate::reactor::{Action, Handler, Resolution, Token};
+use crate::reactor::{Action, Handler, Reactor, Resolution, Token};
 use crate::scheduler::{HealthReport, Scheduler, SvcStats, SvcStatsExt};
 use crate::telemetry::{AlertReport, ProfileReport, SeriesReport, TraceReport};
 use crate::wire::{read_frame, write_frame};
@@ -73,7 +72,8 @@ pub fn bind_socket(path: &Path) -> io::Result<UnixListener> {
 
 /// Serves `sched` on a Unix socket at `path` until a client sends
 /// `Shutdown`, multiplexing every connection on one thread with the
-/// nonblocking [`crate::reactor`]. A stale socket file at `path` (no
+/// nonblocking [`crate::reactor`], which the scheduler wakes on every
+/// job completion. A stale socket file at `path` (no
 /// listener behind it) is replaced; a live one makes the bind fail with
 /// `AddrInUse`. The socket file is removed on every exit path,
 /// including errors.
@@ -85,13 +85,16 @@ pub fn bind_socket(path: &Path) -> io::Result<UnixListener> {
 pub fn serve(path: &Path, sched: Arc<Scheduler>) -> io::Result<()> {
     let listener = bind_socket(path)?;
     let _guard = SocketGuard(PathBuf::from(path));
+    let reactor = Reactor::new()?;
+    let waker = reactor.waker();
+    sched.on_complete(move || waker.wake());
     let mut handler = SchedHandler {
         sched,
         waits: Vec::new(),
         shutdowns: Vec::new(),
         parked: obs::metrics::gauge("svc.wait.parked"),
     };
-    crate::reactor::run(&listener, &mut handler)
+    reactor.run(&listener, &mut handler)
 }
 
 /// Adapts the [`Scheduler`] to the reactor's [`Handler`] contract.
@@ -100,7 +103,8 @@ pub fn serve(path: &Path, sched: Arc<Scheduler>) -> io::Result<()> {
 /// scheduler's query paths are lock-bounded, never job-bounded).
 /// `Wait` parks until the job's result is claimable; `Shutdown` parks
 /// until the scheduler drains, then resolves to `Bye` and stops the
-/// reactor.
+/// reactor. Both are resolved from [`Handler::tick`], which runs when
+/// the scheduler's completion wake arrives.
 struct SchedHandler {
     sched: Arc<Scheduler>,
     /// Parked `Wait`s: (response slot, job id).
@@ -113,8 +117,8 @@ struct SchedHandler {
     parked: Arc<obs::metrics::Gauge>,
 }
 
-impl SchedHandler {
-    fn dispatch(&mut self, token: Token, payload: &[u8]) -> Action {
+impl Handler for SchedHandler {
+    fn handle(&mut self, token: Token, payload: &[u8]) -> Action {
         let sched = &self.sched;
         let response = match Request::decode(payload) {
             Err(e) => Response::Err(e.to_string()),
@@ -154,12 +158,6 @@ impl SchedHandler {
         };
         Action::Respond(response.encode())
     }
-}
-
-impl Handler for SchedHandler {
-    fn handle(&mut self, token: Token, payload: &[u8]) -> Action {
-        self.dispatch(token, payload)
-    }
 
     fn tick(&mut self, done: &mut Vec<(Token, Resolution)>) {
         let sched = &self.sched;
@@ -182,114 +180,6 @@ impl Handler for SchedHandler {
         self.waits.retain(|(token, _)| token.conn != conn);
         self.shutdowns.retain(|token| token.conn != conn);
     }
-
-    fn parked(&self) -> bool {
-        !self.waits.is_empty() || !self.shutdowns.is_empty()
-    }
-}
-
-/// Serves `sched` with the pre-reactor thread-per-connection loop
-/// (`wabench-served serve --threaded`). Kept as the measured baseline
-/// for the reactor's QPS acceptance gate and as an escape hatch;
-/// protocol behavior is identical except that parked `Wait`s each pin
-/// a thread.
-///
-/// # Errors
-///
-/// I/O errors binding or accepting on the socket, including `AddrInUse`
-/// when another server already owns `path`.
-pub fn serve_threaded(path: &Path, sched: Arc<Scheduler>) -> io::Result<()> {
-    let listener = bind_socket(path)?;
-    let _guard = SocketGuard(PathBuf::from(path));
-    let stop = Arc::new(AtomicBool::new(false));
-    // Each connection is (handle, done-flag). The flag lets the accept
-    // loop reap *completed* handler threads without blocking on live
-    // ones — before this, every connection's JoinHandle (and thread
-    // stack) accumulated until shutdown, an unbounded leak under
-    // long-lived servers taking many short connections.
-    let mut conns: Vec<(std::thread::JoinHandle<()>, Arc<AtomicBool>)> = Vec::new();
-    let reaped = obs::metrics::counter("svc.conn.reaped");
-    let serve_loop = |conns: &mut Vec<(std::thread::JoinHandle<()>, Arc<AtomicBool>)>| -> io::Result<()> {
-        for stream in listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = stream?;
-            let mut i = 0;
-            while i < conns.len() {
-                if conns[i].1.load(Ordering::Acquire) {
-                    let (handle, _) = conns.swap_remove(i);
-                    let _ = handle.join();
-                    reaped.inc();
-                } else {
-                    i += 1;
-                }
-            }
-            let sched = Arc::clone(&sched);
-            let conn_stop = Arc::clone(&stop);
-            let sock = PathBuf::from(path);
-            let done = Arc::new(AtomicBool::new(false));
-            let conn_done = Arc::clone(&done);
-            conns.push((
-                std::thread::spawn(move || {
-                    let _ = handle_conn(stream, &sched, &conn_stop, &sock);
-                    conn_done.store(true, Ordering::Release);
-                }),
-                done,
-            ));
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-        }
-        Ok(())
-    };
-    let outcome = serve_loop(&mut conns);
-    for (c, _) in conns {
-        let _ = c.join();
-    }
-    outcome
-}
-
-fn handle_conn(
-    mut stream: UnixStream,
-    sched: &Scheduler,
-    stop: &AtomicBool,
-    sock: &Path,
-) -> io::Result<()> {
-    while let Some(payload) = read_frame(&mut stream)? {
-        let response = match Request::decode(&payload) {
-            Err(e) => Response::Err(e.to_string()),
-            Ok(Request::Ping) => Response::Pong,
-            Ok(Request::Submit(spec, ctx)) => Response::Submitted(sched.submit_traced(spec, ctx)),
-            Ok(Request::Poll(id)) => match sched.poll(id) {
-                Some(res) => Response::Result(res),
-                None => Response::Pending,
-            },
-            Ok(Request::Wait(id)) => Response::Result(sched.wait(id)),
-            Ok(Request::Stats) => Response::Stats(sched.stats()),
-            Ok(Request::StatsExt) => Response::StatsExt(Box::new(sched.stats_ext())),
-            Ok(Request::Health) => Response::Health(sched.health()),
-            Ok(Request::Series(since)) => Response::Series(sched.series_since(since)),
-            Ok(Request::TraceDump) => Response::TraceDump(sched.trace_dump()),
-            Ok(Request::ProfileDump) => Response::ProfileDump(sched.profile_dump()),
-            Ok(Request::AlertLog) => Response::AlertLog(sched.alert_log()),
-            Ok(Request::Backends) => Response::Err(
-                "backends: this server is a single shard, not a router; \
-                 see docs/DEPLOYMENT.md"
-                    .to_string(),
-            ),
-            Ok(Request::Shutdown) => {
-                sched.wait_idle();
-                stop.store(true, Ordering::SeqCst);
-                write_frame(&mut stream, &Response::Bye.encode())?;
-                // Unblock the accept loop with a throwaway connection.
-                let _ = UnixStream::connect(sock);
-                return Ok(());
-            }
-        };
-        write_frame(&mut stream, &response.encode())?;
-    }
-    Ok(())
 }
 
 /// Outcome of a submit against a server that may shed load

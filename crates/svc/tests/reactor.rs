@@ -1,19 +1,23 @@
 //! Reactor front-end behavior a thread-per-connection server never had
 //! to get right: pipelined frames (many requests in one write),
-//! partial-frame reassembly across writes, and strict in-order replies
+//! partial-frame reassembly across writes, strict in-order replies
 //! even when an earlier request parks (`Wait`) while a later one could
-//! answer immediately.
+//! answer immediately, and parked requests answered as soon as another
+//! thread wakes the reactor rather than at its idle timeout.
 
 #![cfg(unix)]
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use svc::job::{JobSpec, Scale};
 use svc::proto::{Request, Response};
+use svc::reactor::{Action, Handler, Reactor, Resolution, Token};
 use svc::scheduler::{Config, Scheduler};
 use svc::server::{serve, Client};
 
@@ -25,13 +29,17 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn start_server(socket: &Path, workers: usize) -> std::thread::JoinHandle<std::io::Result<()>> {
-    let sched = Arc::new(
-        Scheduler::start(Config {
+    start_server_with(
+        socket,
+        Config {
             workers,
             ..Config::default()
-        })
-        .expect("start scheduler"),
-    );
+        },
+    )
+}
+
+fn start_server_with(socket: &Path, cfg: Config) -> std::thread::JoinHandle<std::io::Result<()>> {
+    let sched = Arc::new(Scheduler::start(cfg).expect("start scheduler"));
     let path = socket.to_path_buf();
     let handle = std::thread::spawn(move || serve(&path, sched));
     for _ in 0..400 {
@@ -185,5 +193,116 @@ fn oversized_frame_drops_only_that_connection() {
     drop(c);
 
     shutdown(&socket, server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parks every request but `Shutdown` and answers it (`Pong`) only
+/// from `tick`, once `ready` is set; until then each `tick` that finds
+/// a parked request reports on `checked`. It never asks for a periodic
+/// re-check, so only a [`svc::reactor::Waker`] gets `tick` to run
+/// before the reactor's 250 ms idle timeout.
+struct WakeHandler {
+    ready: Arc<AtomicBool>,
+    checked: mpsc::Sender<()>,
+    parked: Vec<Token>,
+}
+
+impl Handler for WakeHandler {
+    fn handle(&mut self, token: Token, payload: &[u8]) -> Action {
+        if matches!(Request::decode(payload), Ok(Request::Shutdown)) {
+            return Action::Bye(Response::Bye.encode());
+        }
+        self.parked.push(token);
+        Action::Park
+    }
+
+    fn tick(&mut self, done: &mut Vec<(Token, Resolution)>) {
+        if self.ready.load(Ordering::SeqCst) {
+            for token in self.parked.drain(..) {
+                done.push((token, Resolution::Respond(Response::Pong.encode())));
+            }
+        } else if !self.parked.is_empty() {
+            let _ = self.checked.send(());
+        }
+    }
+
+    fn conn_closed(&mut self, conn: u64) {
+        self.parked.retain(|t| t.conn != conn);
+    }
+}
+
+/// A wake from another thread runs `tick` at once: the parked reply
+/// arrives well inside the idle timeout, and not before the wake even
+/// though the handler is ready.
+#[test]
+fn waker_resolves_parked_request_before_idle_timeout() {
+    let dir = tmp_dir("waker");
+    let socket = dir.join("wake.sock");
+    let listener = UnixListener::bind(&socket).expect("bind");
+    let reactor = Reactor::new().expect("reactor");
+    let waker = reactor.waker();
+    let ready = Arc::new(AtomicBool::new(false));
+    let (checked, checked_rx) = mpsc::channel();
+    let mut handler = WakeHandler {
+        ready: Arc::clone(&ready),
+        checked,
+        parked: Vec::new(),
+    };
+    let server = std::thread::spawn(move || reactor.run(&listener, &mut handler));
+
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    stream.write_all(&frame(&Request::Ping)).expect("parked request");
+    // Once a tick has found the request parked and not ready, the
+    // reactor goes back to sleep in poll.
+    checked_rx.recv().expect("parked request checked");
+    ready.store(true, Ordering::SeqCst);
+    stream.set_read_timeout(Some(Duration::from_millis(50))).expect("timeout");
+    let early = stream.read(&mut [0u8; 1]);
+    assert!(early.is_err(), "reply arrived without a wake: {early:?}");
+
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let t0 = Instant::now();
+    std::thread::spawn(move || waker.wake()).join().expect("waker thread");
+    assert!(matches!(read_response(&mut stream), Response::Pong));
+    let waited = t0.elapsed();
+    assert!(waited < Duration::from_millis(100), "reply took {waited:?} after the wake");
+
+    stream.write_all(&frame(&Request::Shutdown)).expect("shutdown");
+    assert!(matches!(read_response(&mut stream), Response::Bye));
+    server.join().expect("join").expect("reactor run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Over the served socket: a `Wait` parked on a running job gets its
+/// result as soon as the job publishes it, and a `Shutdown` parked
+/// behind that job gets `Bye` once it finishes. Every job sleeps
+/// 200 ms first, so both requests surely park.
+#[test]
+fn served_parked_wait_and_shutdown_resolve_on_completion() {
+    let dir = tmp_dir("served-wake");
+    let socket = dir.join("svc.sock");
+    let plan = fault::FaultPlan::parse("seed=7,delay=1.0:200ms").expect("fault plan");
+    let server = start_server_with(
+        &socket,
+        Config {
+            workers: 1,
+            faults: Some(Arc::new(plan)),
+            ..Config::default()
+        },
+    );
+    let spec = JobSpec::exec("crc32", engines::EngineKind::Wasm3, wacc::OptLevel::O0, Scale::Test);
+    let mut client = Client::connect(&socket).expect("connect");
+    let id = client.submit(spec).expect("submit");
+    let mut stopper = UnixStream::connect(&socket).expect("connect");
+    stopper.write_all(&frame(&Request::Shutdown)).expect("shutdown");
+
+    let res = client.wait(id).expect("wait");
+    let residual = Duration::from_nanos(obs::trace::now_ns().saturating_sub(res.trace.done_ns));
+    assert!(res.ok() && res.id == id, "unexpected result {res:?}");
+    assert!(residual < Duration::from_millis(100), "Wait answered {residual:?} after the job");
+
+    stopper.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    assert!(matches!(read_response(&mut stopper), Response::Bye));
+    server.join().expect("join").expect("serve");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,6 @@
 //! Protocol v7 live-telemetry behavior over a real socket: trace ids
-//! round-trip submit → digest → `TraceDump`, the background sampler
-//! feeds a nonempty `Series` window, and the accept loop reaps finished
-//! connection handler threads instead of accumulating them.
+//! round-trip submit → digest → `TraceDump`, and the background sampler
+//! feeds a nonempty `Series` window.
 
 #![cfg(unix)]
 
@@ -11,7 +10,7 @@ use std::time::Duration;
 
 use svc::job::{JobSpec, Scale, TraceCtx};
 use svc::scheduler::{Config, Scheduler};
-use svc::server::{serve, serve_threaded, Client};
+use svc::server::{serve, Client};
 use svc::telemetry::TelemetryConfig;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -134,57 +133,5 @@ fn untraced_submits_still_work_and_digest_is_zeroed() {
     assert!(res.trace.done_ns >= res.trace.enqueue_ns);
     client.shutdown().expect("shutdown");
     server.join().expect("join").expect("serve");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The *threaded* accept loop must reap finished handler threads as it
-/// goes — a long-lived server taking many short connections previously
-/// kept every JoinHandle (and thread stack) until shutdown. The
-/// default reactor front-end has no handler threads to reap; this
-/// pins the `serve_threaded` fallback's behavior.
-#[test]
-fn accept_loop_reaps_finished_connection_threads() {
-    let dir = tmp_dir("reap");
-    let socket = dir.join("svc.sock");
-    let reaped = obs::metrics::counter("svc.conn.reaped");
-    let before = reaped.get();
-    let sched = Arc::new(
-        Scheduler::start(Config {
-            workers: 1,
-            ..Config::default()
-        })
-        .expect("start scheduler"),
-    );
-    let path = socket.clone();
-    let server = std::thread::spawn(move || serve_threaded(&path, sched));
-    for _ in 0..400 {
-        if let Ok(mut c) = Client::connect(&socket) {
-            if c.ping().is_ok() {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
-    const CONNS: u64 = 60;
-    for _ in 0..CONNS {
-        // Connect, ping, drop: the handler thread finishes as soon as
-        // the stream closes, making it reapable by the next accept.
-        let mut c = Client::connect(&socket).expect("connect");
-        c.ping().expect("ping");
-        drop(c);
-    }
-    let mut c = Client::connect(&socket).expect("connect");
-    c.shutdown().expect("shutdown");
-    server.join().expect("join").expect("serve");
-
-    // Each accept reaps every already-finished handler. Closing
-    // connection N races the accept of N+1, so allow slack — but the
-    // bulk must be reaped long before shutdown.
-    let reaped_now = reaped.get() - before;
-    assert!(
-        reaped_now >= CONNS / 2,
-        "only {reaped_now} of {CONNS} short-lived connections were reaped in the accept loop"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
